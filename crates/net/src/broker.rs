@@ -7,18 +7,19 @@
 //! synopsis fed through the zero-copy `tps_xml::scan` ingest path, and the
 //! index-backed online community clustering. The server layer
 //! ([`crate::server`]) feeds it decoded messages and ships out whatever it
-//! returns; keeping the core pure makes the conformance argument local:
-//! `BrokerCore::route` mirrors `BrokerNetwork::route_one` /
-//! `tps_sim::Simulation::process_hop` decision for decision and counter
-//! for counter, so summing [`BrokerStats`] across a churn-free overlay
-//! reproduces the simulator's and the static evaluation's numbers exactly.
+//! returns. Routing one document is one call of [`tps_routing::step()`], the
+//! same per-broker step the simulator and the static evaluation drive, so
+//! summing [`BrokerStats`] across a churn-free overlay reproduces their
+//! numbers exactly.
 
 use std::collections::BTreeMap;
 
 use tps_analyze::{Severity, WorkloadAnalyzer, WorkloadEntry};
 use tps_cluster::{LeaderConfig, OnlineLeader};
 use tps_pattern::TreePattern;
-use tps_routing::{BrokerId, BrokerNetwork, BrokerTopology, ForwardingMode, RoutingTable};
+use tps_routing::{
+    step, BrokerId, BrokerLinks, BrokerNetwork, BrokerTopology, ForwardingMode, RoutingTable,
+};
 use tps_synopsis::{IngestTarget, Synopsis};
 use tps_xml::XmlTree;
 
@@ -60,9 +61,7 @@ pub struct BrokerCore {
     next_slot: u32,
     table: Option<RoutingTable>,
     tables_stale: bool,
-    /// `behind[link][b]`: whether broker `b` lives behind this broker's
-    /// `link`-th link (precomputed once; used for spurious accounting).
-    behind: Vec<Vec<bool>>,
+    links: BrokerLinks,
     stats: BrokerStats,
 }
 
@@ -77,18 +76,6 @@ impl BrokerCore {
             id < config.topology.broker_count(),
             "broker {id} does not exist in the overlay"
         );
-        let behind = config
-            .topology
-            .link_partitions(id)
-            .into_iter()
-            .map(|subtree| {
-                let mut mask = vec![false; config.topology.broker_count()];
-                for b in subtree {
-                    mask[b] = true;
-                }
-                mask
-            })
-            .collect();
         Self {
             id,
             topology: config.topology.clone(),
@@ -101,8 +88,10 @@ impl BrokerCore {
                 .map(|lsh| OnlineLeader::new(lsh, LeaderConfig::default())),
             next_slot: 0,
             table: None,
-            tables_stale: false,
-            behind,
+            // The first document builds the table, even for an empty view
+            // (a valid match-nothing table).
+            tables_stale: true,
+            links: BrokerLinks::new(&config.topology, id),
             stats: BrokerStats {
                 broker: id as u32,
                 ..BrokerStats::default()
@@ -304,80 +293,35 @@ impl BrokerCore {
         }
     }
 
-    /// Route one document at this broker, mirroring
-    /// `BrokerNetwork::route_one` exactly: exact per-consumer local
-    /// filtering (one match operation per local consumer), a table lookup
-    /// per outgoing link with first-hit cost accounting, and never sending
-    /// a document back over the link it arrived on.
+    /// Route one document at this broker: one [`tps_routing::step()`] over
+    /// the whole view (in subscriber-id order, independent of the control
+    /// flood's arrival order), with interest from this broker's own
+    /// matcher. Flooding never builds a table, so `self.table` is `None`.
     fn route(&mut self, document: &XmlTree, from: Option<BrokerId>) -> RouteOutcome {
-        // In table mode the table must exist before the per-link loop below
-        // — even for an empty view, which builds a valid match-nothing
-        // table. Flooding mode never consults it.
-        let needs_table =
-            matches!(self.forwarding, ForwardingMode::Table(_)) && self.table.is_none();
-        if self.tables_stale || needs_table {
+        if self.tables_stale {
             self.rebuild_table();
         }
-        let mut outcome = RouteOutcome::default();
-
-        // Local delivery: exact per-consumer filtering, in subscriber-id
-        // order (the BTreeMap keeps the view order-independent of the
-        // control flood's arrival order).
-        for (&subscriber, consumer) in &self.consumers {
-            if consumer.broker != self.id {
-                continue;
-            }
-            self.stats.match_operations += 1;
-            if consumer.pattern.matches(document) {
-                self.stats.deliveries += 1;
-                outcome.deliveries.push(subscriber);
-            }
+        let outcome = step(
+            document,
+            from,
+            &self.links,
+            self.consumers.iter().map(|(&s, c)| ((s, c), c.broker)),
+            self.table.as_ref(),
+            |(_, consumer)| consumer.pattern.matches(document),
+        );
+        let counters = outcome.counters;
+        self.stats.match_operations += counters.match_operations as u64;
+        self.stats.deliveries += counters.deliveries as u64;
+        self.stats.link_messages += counters.link_messages as u64;
+        self.stats.spurious_link_messages += counters.spurious_link_messages as u64;
+        RouteOutcome {
+            deliveries: outcome.local.iter().map(|&(s, _)| s).collect(),
+            forwards: outcome.forwards.iter().map(|&(_, n)| n).collect(),
         }
-
-        // Forwarding decision per outgoing link.
-        let neighbours = self.topology.neighbours(self.id).to_vec();
-        let mut chosen: Vec<(usize, BrokerId)> = Vec::new();
-        for (link_index, &neighbour) in neighbours.iter().enumerate() {
-            if Some(neighbour) == from {
-                continue;
-            }
-            match self.forwarding {
-                ForwardingMode::Flooding => chosen.push((link_index, neighbour)),
-                ForwardingMode::Table(_) => {
-                    // invariant: rebuild_table ran above whenever the table
-                    // was missing or stale in table mode.
-                    let table = self.table.as_ref().expect("table forwarding has a table");
-                    let (hit, cost) = table.link(link_index).matches(document);
-                    self.stats.match_operations += cost as u64;
-                    if hit {
-                        chosen.push((link_index, neighbour));
-                    }
-                }
-            }
-        }
-
-        // Spurious accounting is pure observability (it never changes a
-        // forwarding decision): a forward is spurious when no consumer
-        // behind the link matches. These bookkeeping matches are not
-        // counted as match operations — same as the frozen ground-truth
-        // interest in the simulator and the static evaluation.
-        for &(link_index, neighbour) in &chosen {
-            self.stats.link_messages += 1;
-            let mask = &self.behind[link_index];
-            let interested = self
-                .consumers
-                .values()
-                .any(|c| mask[c.broker] && c.pattern.matches(document));
-            if !interested {
-                self.stats.spurious_link_messages += 1;
-            }
-            outcome.forwards.push(neighbour);
-        }
-        outcome
     }
 
     /// Rebuild this broker's routing table from the current view, through
-    /// the static `BrokerNetwork` constructor — so a churn-free overlay is
+    /// the static [`BrokerNetwork::table_for`] — so a churn-free overlay is
     /// table-identical to a batch evaluation by construction.
     fn rebuild_table(&mut self) {
         if let ForwardingMode::Table(mode) = self.forwarding {
@@ -385,10 +329,7 @@ impl BrokerCore {
             for consumer in self.consumers.values() {
                 network.attach(consumer.broker, "net", consumer.pattern.clone());
             }
-            let mut tables = network.build_tables(mode);
-            // invariant: build_tables returns one table per broker of the
-            // topology, and `id` was validated by the constructor.
-            let table = tables.swap_remove(self.id);
+            let table = network.table_for(self.id, mode);
             self.stats.table_nodes = table.node_count() as u64;
             self.table = Some(table);
             self.stats.table_rebuilds += 1;

@@ -209,10 +209,10 @@ pub struct SyncConsumer {
 /// End-of-run counters of one broker, as carried by a stats reply.
 ///
 /// The routing counters (`deliveries`, `link_messages`,
-/// `spurious_link_messages`, `match_operations`) mirror the definitions of
-/// `tps_routing::NetworkStats` / `tps_sim::SimStats` field for field — the
-/// conformance tests sum them across brokers and compare them against a
-/// simulator run and a static `route_stream` evaluation of the same
+/// `spurious_link_messages`, `match_operations`) are the sums of the
+/// `tps_routing::StepCounters` of every routing step this broker took —
+/// the conformance tests sum them across brokers and compare them against
+/// a simulator run and a static `route_stream` evaluation of the same
 /// scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerStats {

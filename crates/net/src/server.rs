@@ -65,9 +65,10 @@ const SERVICE_BATCH: usize = 64;
 
 struct ConnState {
     tx: SyncSender<Message>,
-    /// Set by [`Message::Hello`]: peer links are fire-and-forget (no
-    /// replies), client connections get one reply per request.
-    peer: bool,
+    /// The neighbour broker on the other end, set by [`Message::Hello`]:
+    /// peer links are fire-and-forget (no replies), client connections get
+    /// one reply per request.
+    peer: Option<BrokerId>,
 }
 
 struct PeerLink {
@@ -406,7 +407,7 @@ impl Service {
     fn handle(&mut self, event: Event, out: &mut [Vec<Vec<u8>>]) -> bool {
         match event {
             Event::Opened { conn, tx } => {
-                self.conns.insert(conn, ConnState { tx, peer: false });
+                self.conns.insert(conn, ConnState { tx, peer: None });
             }
             Event::Closed { conn } => {
                 self.conns.remove(&conn);
@@ -422,9 +423,9 @@ impl Service {
 
     fn handle_frame(&mut self, conn: u64, message: Message, out: &mut [Vec<Vec<u8>>]) -> bool {
         match message {
-            Message::Hello { .. } => {
+            Message::Hello { broker } => {
                 if let Some(state) = self.conns.get_mut(&conn) {
-                    state.peer = true;
+                    state.peer = Some(broker as BrokerId);
                 }
             }
             Message::Subscribe {
@@ -435,7 +436,7 @@ impl Service {
                 let from_peer = self
                     .conns
                     .get(&conn)
-                    .map(|state| state.peer)
+                    .map(|state| state.peer.is_some())
                     .unwrap_or(true);
                 // Flood-received subscriptions were already admitted at
                 // their home broker; only client subscriptions face lint.
@@ -452,11 +453,14 @@ impl Service {
                         self.reply(conn, Message::Ack);
                         // Flood on: duplicates terminate the broadcast at
                         // the first broker that already has the entry.
-                        self.flood(Message::Subscribe {
-                            subscriber,
-                            broker,
-                            pattern,
-                        });
+                        self.flood(
+                            Message::Subscribe {
+                                subscriber,
+                                broker,
+                                pattern,
+                            },
+                            conn,
+                        );
                     }
                     Ok(false) => {
                         // Idempotent re-subscribe: the view is unchanged
@@ -474,7 +478,7 @@ impl Service {
             Message::Unsubscribe { subscriber } => {
                 if self.core.unsubscribe(subscriber) {
                     self.deliver_conns.remove(&subscriber);
-                    self.flood(Message::Unsubscribe { subscriber });
+                    self.flood(Message::Unsubscribe { subscriber }, conn);
                 }
                 // Idempotent: acknowledged whether or not the view changed.
                 self.reply(conn, Message::Ack);
@@ -549,7 +553,7 @@ impl Service {
         let Some(state) = self.conns.get(&conn) else {
             return;
         };
-        if state.peer {
+        if state.peer.is_some() {
             return;
         }
         // Blocking send: a request-reply client is by contract reading its
@@ -558,12 +562,18 @@ impl Service {
         let _ = state.tx.send(message);
     }
 
-    /// Queue a control frame for every peer link. Control is never
-    /// dropped: frames that do not fit the queue park in the pending list,
-    /// retried at every flush while the link lives.
-    fn flood(&mut self, message: Message) {
-        for peer in &mut self.peers {
-            peer.pending.push_back(message.clone());
+    /// Queue a control frame that arrived on `conn` for every peer link
+    /// except the one it came from. Sending it back would echo it to a broker that already applied
+    /// it, and an echoed `Subscribe` landing after the client's
+    /// `Unsubscribe` would re-install the departed subscriber. Control is
+    /// never dropped: frames that do not fit the queue park in the pending
+    /// list, retried at every flush while the link lives.
+    fn flood(&mut self, message: Message, conn: u64) {
+        let arrival = self.conns.get(&conn).and_then(|state| state.peer);
+        for (peer, &neighbour) in self.peers.iter_mut().zip(&self.neighbours) {
+            if Some(neighbour) != arrival {
+                peer.pending.push_back(message.clone());
+            }
         }
     }
 

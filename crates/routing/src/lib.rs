@@ -14,6 +14,8 @@
 //!   multi-broker tree overlay with per-link routing tables (exact,
 //!   containment-pruned or aggregated), accounting for link messages and
 //!   broker-side filtering cost.
+//! * [`step()`] — the per-broker routing step that the static network,
+//!   `tps-sim` and `tps-net` all run for each broker visit.
 //! * [`SemanticOverlay`] — the peer-to-peer community overlay the paper
 //!   motivates, built from any `tps-cluster` clustering and measured on
 //!   filtering cost and delivery accuracy.
@@ -64,6 +66,7 @@ pub mod naming;
 pub mod network;
 pub mod overlay;
 pub mod stats;
+pub mod step;
 pub mod table;
 pub mod topology;
 
@@ -72,5 +75,6 @@ pub use community::{Community, CommunityClustering, CommunityConfig, Incremental
 pub use network::{BrokerNetwork, ForwardingMode, NetworkConsumer, NetworkStats};
 pub use overlay::{OverlayCommunity, OverlayStats, SemanticOverlay};
 pub use stats::{DeliveryMetrics, LinkMetrics, TableCompaction};
+pub use step::{step, BrokerLinks, StepCounters, StepOutcome};
 pub use table::{LinkSummary, RoutingTable, TableMode};
 pub use topology::{BrokerId, BrokerTopology};

@@ -14,6 +14,7 @@ use tps_xml::XmlTree;
 
 use crate::impl_variant_name;
 use crate::stats::{DeliveryMetrics, LinkMetrics, TableCompaction};
+use crate::step::{step, BrokerLinks};
 use crate::table::{RoutingTable, TableMode};
 use crate::topology::{BrokerId, BrokerTopology};
 
@@ -173,12 +174,10 @@ impl BrokerNetwork {
             .collect()
     }
 
-    /// Build the per-broker routing tables for the given summarisation mode.
-    ///
-    /// The table of broker `b` has one entry per link of `b`, summarising the
-    /// subscriptions of every consumer attached to a broker behind that link.
+    /// Build the per-broker routing tables for the given summarisation mode:
+    /// [`BrokerNetwork::table_for`] of every broker, indexed by broker id.
     pub fn build_tables(&self, mode: TableMode) -> Vec<RoutingTable> {
-        self.tables_from_partitions(mode, None)
+        self.tables_with(mode, None)
     }
 
     /// [`BrokerNetwork::build_tables`] with a compaction pre-pass: each
@@ -192,35 +191,49 @@ impl BrokerNetwork {
         mode: TableMode,
         oracle: &ContainmentOracle<'_>,
     ) -> Vec<RoutingTable> {
-        self.tables_from_partitions(mode, Some(oracle))
+        self.tables_with(mode, Some(oracle))
     }
 
-    fn tables_from_partitions(
+    /// The routing table of one broker: one entry per link of `broker`,
+    /// summarising the subscriptions of every consumer attached to a broker
+    /// behind that link.
+    pub fn table_for(&self, broker: BrokerId, mode: TableMode) -> RoutingTable {
+        self.table_with(broker, mode, None)
+    }
+
+    fn tables_with(
         &self,
         mode: TableMode,
         oracle: Option<&ContainmentOracle<'_>>,
     ) -> Vec<RoutingTable> {
         self.topology
             .brokers()
-            .map(|broker| {
-                let per_link: Vec<Vec<TreePattern>> = self
-                    .topology
-                    .link_partitions(broker)
-                    .into_iter()
-                    .map(|behind| {
-                        self.consumers
-                            .iter()
-                            .filter(|c| behind.contains(&c.broker))
-                            .map(|c| c.subscription.clone())
-                            .collect()
-                    })
-                    .collect();
-                match oracle {
-                    None => RoutingTable::build(&per_link, mode),
-                    Some(oracle) => RoutingTable::build_compacted(&per_link, mode, oracle),
-                }
-            })
+            .map(|broker| self.table_with(broker, mode, oracle))
             .collect()
+    }
+
+    fn table_with(
+        &self,
+        broker: BrokerId,
+        mode: TableMode,
+        oracle: Option<&ContainmentOracle<'_>>,
+    ) -> RoutingTable {
+        let per_link: Vec<Vec<TreePattern>> = self
+            .topology
+            .link_masks(broker)
+            .iter()
+            .map(|behind| {
+                self.consumers
+                    .iter()
+                    .filter(|c| behind[c.broker])
+                    .map(|c| c.subscription.clone())
+                    .collect()
+            })
+            .collect();
+        match oracle {
+            None => RoutingTable::build(&per_link, mode),
+            Some(oracle) => RoutingTable::build_compacted(&per_link, mode, oracle),
+        }
     }
 
     /// Route a document stream published at `producer` and return aggregate
@@ -260,7 +273,7 @@ impl BrokerNetwork {
         );
         let tables = match mode {
             ForwardingMode::Flooding => Vec::new(),
-            ForwardingMode::Table(table_mode) => self.tables_from_partitions(table_mode, oracle),
+            ForwardingMode::Table(table_mode) => self.tables_with(table_mode, oracle),
         };
         let mut stats = NetworkStats {
             documents: documents.len(),
@@ -273,8 +286,9 @@ impl BrokerNetwork {
             },
             ..NetworkStats::default()
         };
+        let links = BrokerLinks::all(&self.topology);
         for document in documents {
-            self.route_one(producer, document, mode, &tables, &mut stats);
+            self.route_one(producer, document, &tables, &links, &mut stats);
         }
         stats
     }
@@ -283,8 +297,8 @@ impl BrokerNetwork {
         &self,
         producer: BrokerId,
         document: &XmlTree,
-        mode: ForwardingMode,
         tables: &[RoutingTable],
+        links: &[BrokerLinks],
         stats: &mut NetworkStats,
     ) {
         let interested: Vec<bool> = self
@@ -293,69 +307,32 @@ impl BrokerNetwork {
             .map(|c| c.subscription.matches(document))
             .collect();
         let mut delivered = vec![false; self.consumers.len()];
-        // Depth-first propagation over the tree, remembering the link we
-        // arrived on so we never send a document back where it came from.
         let mut stack: Vec<(BrokerId, Option<BrokerId>)> = vec![(producer, None)];
         while let Some((broker, from)) = stack.pop() {
-            // Local delivery: exact per-consumer filtering.
-            for consumer in self.consumers_at(broker) {
-                stats.match_operations += 1;
-                if interested[consumer] {
-                    delivered[consumer] = true;
-                    stats.deliveries += 1;
-                }
+            let outcome = step(
+                document,
+                from,
+                &links[broker],
+                self.consumers.iter().map(|c| c.broker).enumerate(),
+                // Flooding builds no tables, so this is `None`: flood.
+                tables.get(broker),
+                |consumer| interested[consumer],
+            );
+            for consumer in outcome.local {
+                delivered[consumer] = true;
             }
-            // Forwarding decision per outgoing link.
-            let neighbours = self.topology.neighbours(broker);
-            let forward_to: Vec<BrokerId> = match mode {
-                ForwardingMode::Flooding => neighbours
-                    .iter()
-                    .copied()
-                    .filter(|&n| Some(n) != from)
-                    .collect(),
-                ForwardingMode::Table(_) => {
-                    let table = &tables[broker];
-                    let mut chosen = Vec::new();
-                    for (link_index, &neighbour) in neighbours.iter().enumerate() {
-                        if Some(neighbour) == from {
-                            continue;
-                        }
-                        let (hit, cost) = table.link(link_index).matches(document);
-                        stats.match_operations += cost;
-                        if hit {
-                            chosen.push(neighbour);
-                        }
-                    }
-                    chosen
-                }
-            };
-            for neighbour in forward_to {
-                stats.link_messages += 1;
-                // A forward is spurious if nothing behind the link matches.
-                let behind = self.subtree_consumers(neighbour, broker);
-                if !behind.iter().any(|&c| interested[c]) {
-                    stats.spurious_link_messages += 1;
-                }
-                stack.push((neighbour, Some(broker)));
-            }
+            let counters = outcome.counters;
+            stats.match_operations += counters.match_operations;
+            stats.deliveries += counters.deliveries;
+            stats.link_messages += counters.link_messages;
+            stats.spurious_link_messages += counters.spurious_link_messages;
+            stack.extend(outcome.forwards.iter().map(|&(_, n)| (n, Some(broker))));
         }
         stats.missed_deliveries += interested
             .iter()
             .zip(&delivered)
             .filter(|(&i, &d)| i && !d)
             .count();
-    }
-
-    /// Consumers attached to brokers in the subtree rooted at `root` when the
-    /// link towards `parent` is removed.
-    fn subtree_consumers(&self, root: BrokerId, parent: BrokerId) -> Vec<usize> {
-        let brokers = self.topology.subtree_brokers(root, parent);
-        self.consumers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| brokers.contains(&c.broker))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 

@@ -47,7 +47,7 @@ named_enum!(TableMode {
 });
 
 /// The summary of the subscriptions behind one link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSummary {
     patterns: Vec<TreePattern>,
     mode: TableMode,
@@ -178,7 +178,7 @@ pub fn prune_contained_with(
 /// The routing table of one broker: one [`LinkSummary`] per link, plus the
 /// broker's local subscriptions (kept exact — local deliveries are always
 /// filtered per consumer).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingTable {
     links: Vec<LinkSummary>,
     mode: TableMode,
@@ -242,21 +242,6 @@ impl RoutingTable {
     /// summarisation or compaction.
     pub fn input_count(&self) -> usize {
         self.links.iter().map(LinkSummary::input_count).sum()
-    }
-
-    /// The links over which `document` must be forwarded, and the number of
-    /// pattern matches evaluated to decide it.
-    pub fn forward_links(&self, document: &XmlTree) -> (Vec<usize>, usize) {
-        let mut links = Vec::new();
-        let mut evaluated = 0usize;
-        for (index, summary) in self.links.iter().enumerate() {
-            let (interested, cost) = summary.matches(document);
-            evaluated += cost;
-            if interested {
-                links.push(index);
-            }
-        }
-        (links, evaluated)
     }
 }
 
@@ -390,9 +375,10 @@ mod tests {
             ],
             TableMode::Exact,
         );
-        let (links, cost) = table.forward_links(&doc("<media><CD/><book/></media>"));
-        assert_eq!(links, vec![0, 1]);
-        assert_eq!(cost, 3);
+        let document = doc("<media><CD/><book/></media>");
+        let decisions: Vec<(bool, usize)> =
+            (0..3).map(|i| table.link(i).matches(&document)).collect();
+        assert_eq!(decisions, vec![(true, 1), (true, 1), (false, 1)]);
         assert_eq!(table.link_count(), 3);
         assert_eq!(table.entry_count(), 3);
         assert!(table.node_count() >= 3);

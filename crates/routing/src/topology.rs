@@ -170,37 +170,27 @@ impl BrokerTopology {
         }
     }
 
-    /// The brokers reachable from `root` without crossing `parent` — the
-    /// subtree living behind the `parent → root` link when that link is
-    /// removed from the tree. Both routing-table construction and
-    /// spurious-forward accounting (static and simulated) are defined over
-    /// these sets.
-    pub fn subtree_brokers(&self, root: BrokerId, parent: BrokerId) -> Vec<BrokerId> {
-        let mut seen = vec![false; self.broker_count()];
-        seen[parent] = true;
-        seen[root] = true;
-        let mut queue = std::collections::VecDeque::from([root]);
-        let mut behind = Vec::new();
-        while let Some(current) = queue.pop_front() {
-            behind.push(current);
-            for &next in self.neighbours(current) {
-                if !seen[next] {
-                    seen[next] = true;
-                    queue.push_back(next);
-                }
-            }
-        }
-        behind
-    }
-
-    /// For every broker, the set of brokers that are reached through each of
-    /// its links: `partition(b)[i]` lists the brokers living behind
-    /// `neighbours(b)[i]` when `b` is removed from the tree. This is the
-    /// information a broker's routing table is indexed by.
-    pub fn link_partitions(&self, broker: BrokerId) -> Vec<Vec<BrokerId>> {
+    /// Which brokers sit behind each link of `broker`: `link_masks(b)[i][x]`
+    /// is true when broker `x` is reachable from `neighbours(b)[i]` without
+    /// crossing `b`. Routing tables and spurious-forward accounting are
+    /// both defined over these sets.
+    pub fn link_masks(&self, broker: BrokerId) -> Vec<Vec<bool>> {
         self.neighbours(broker)
             .iter()
-            .map(|&next| self.subtree_brokers(next, broker))
+            .map(|&next| {
+                let mut behind = vec![false; self.broker_count()];
+                behind[next] = true;
+                let mut stack = vec![next];
+                while let Some(current) = stack.pop() {
+                    for &n in self.neighbours(current) {
+                        if n != broker && !behind[n] {
+                            behind[n] = true;
+                            stack.push(n);
+                        }
+                    }
+                }
+                behind
+            })
             .collect()
     }
 }
@@ -270,17 +260,12 @@ mod tests {
 
     #[test]
     fn link_partitions_split_the_tree() {
-        let chain = BrokerTopology::chain(5);
-        let partitions = chain.link_partitions(2);
-        assert_eq!(partitions.len(), 2);
-        let mut sides: Vec<Vec<BrokerId>> = partitions
-            .into_iter()
-            .map(|mut side| {
-                side.sort_unstable();
-                side
-            })
+        let masks = BrokerTopology::chain(5).link_masks(2);
+        let sides: Vec<Vec<BrokerId>> = masks
+            .iter()
+            .map(|mask| (0..5).filter(|&b| mask[b]).collect())
             .collect();
-        sides.sort();
+        // Neighbours of 2 are [1, 3], in link order.
         assert_eq!(sides, vec![vec![0, 1], vec![3, 4]]);
     }
 

@@ -6,8 +6,9 @@
 use tps_core::{LshConfig, PatternId, SimilarityEngine};
 use tps_pattern::TreePattern;
 use tps_routing::{
-    BrokerId, BrokerNetwork, BrokerTopology, CommunityClustering, CommunityConfig, ForwardingMode,
-    IncrementalCommunities, RoutingTable, TableCompaction,
+    step, BrokerId, BrokerLinks, BrokerNetwork, BrokerTopology, CommunityClustering,
+    CommunityConfig, ForwardingMode, IncrementalCommunities, RoutingTable, StepOutcome,
+    TableCompaction,
 };
 use tps_synopsis::{IngestTarget, SynopsisConfig};
 use tps_workload::SubscriberId;
@@ -74,11 +75,8 @@ pub struct SimNetwork {
     churn_seq: u64,
     tables_built_at_churn: u64,
     communities_built_at: (u64, u64),
-    /// `behind[broker][link][b]`: whether broker `b` lives behind the
-    /// `link`-th link of `broker`. The topology is immutable for the whole
-    /// run, so these membership masks are computed once and spare the
-    /// per-forward subtree BFS the spurious accounting would otherwise pay.
-    behind: Vec<Vec<Vec<bool>>>,
+    /// Every broker's links, indexed by broker id.
+    links: Vec<BrokerLinks>,
 }
 
 impl SimNetwork {
@@ -92,22 +90,7 @@ impl SimNetwork {
         community: CommunityConfig,
         synopsis: SynopsisConfig,
     ) -> Self {
-        let behind = topology
-            .brokers()
-            .map(|broker| {
-                topology
-                    .link_partitions(broker)
-                    .into_iter()
-                    .map(|subtree| {
-                        let mut mask = vec![false; topology.broker_count()];
-                        for b in subtree {
-                            mask[b] = true;
-                        }
-                        mask
-                    })
-                    .collect()
-            })
-            .collect();
+        let links = BrokerLinks::all(&topology);
         // Tables and communities start empty: the driver installs the
         // initial consumers and then performs the first (counted) rebuild,
         // so building anything here would be dead work.
@@ -125,18 +108,13 @@ impl SimNetwork {
             churn_seq: 0,
             tables_built_at_churn: 0,
             communities_built_at: (0, 0),
-            behind,
+            links,
         }
     }
 
     /// The overlay topology.
     pub fn topology(&self) -> &BrokerTopology {
         &self.topology
-    }
-
-    /// The forwarding discipline.
-    pub fn forwarding(&self) -> ForwardingMode {
-        self.forwarding
     }
 
     /// Enable or disable the static-analysis compaction pre-pass applied
@@ -368,32 +346,34 @@ impl SimNetwork {
         }
     }
 
-    /// Indices of the *active* consumers attached to `broker`.
-    pub fn active_consumers_at(&self, broker: BrokerId) -> Vec<usize> {
-        self.consumers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active && c.broker == broker)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Whether any *active* consumer behind the `link_index`-th link of
-    /// `broker` is marked in the frozen `interested` bitmap — the ground
-    /// truth for spurious-forward accounting, mirroring the static
-    /// network's subtree definition (the membership masks are precomputed
-    /// from [`BrokerTopology::subtree_brokers`] via `link_partitions`).
-    /// Consumer slots beyond the bitmap (arrivals after publication) count
-    /// as uninterested.
-    pub fn link_has_interest(
+    /// Route `document` one step at `broker` ([`tps_routing::step()`]) over
+    /// the *active* consumers and the current (possibly stale) tables.
+    /// Interest is the ground truth frozen at publication (`interested`,
+    /// indexed by consumer slot) restricted to consumers not yet
+    /// `delivered`; slots beyond the bitmaps (arrivals after publication)
+    /// are not owed the document. A stale table forwarding into a subtree
+    /// whose subscribers departed therefore counts a spurious forward.
+    pub fn route_step(
         &self,
         broker: BrokerId,
-        link_index: usize,
+        from: Option<BrokerId>,
+        document: &XmlTree,
         interested: &[bool],
-    ) -> bool {
-        let mask = &self.behind[broker][link_index];
-        self.consumers.iter().enumerate().any(|(slot, c)| {
-            c.active && mask[c.broker] && interested.get(slot).copied().unwrap_or(false)
+        delivered: &[bool],
+    ) -> StepOutcome<usize> {
+        let view = self
+            .consumers
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.active)
+            .map(|(slot, c)| (slot, c.broker));
+        let table = match self.forwarding {
+            ForwardingMode::Flooding => None,
+            // Tables exist from the first rebuild on.
+            ForwardingMode::Table(_) => Some(&self.tables[broker]),
+        };
+        step(document, from, &self.links[broker], view, table, |slot| {
+            interested.get(slot) == Some(&true) && delivered.get(slot) == Some(&false)
         })
     }
 }
@@ -447,8 +427,8 @@ mod tests {
         assert!(!network.unsubscribe(0), "double departure is a no-op");
         assert_eq!(network.active_count(), 1);
         assert_eq!(network.consumers().len(), 2);
-        assert_eq!(network.active_consumers_at(1), Vec::<usize>::new());
-        assert_eq!(network.active_consumers_at(3), vec![1]);
+        assert!(!network.consumers()[0].active);
+        assert!(network.consumers()[1].active);
     }
 
     #[test]
@@ -494,22 +474,42 @@ mod tests {
 
     #[test]
     fn link_interest_ignores_departed_and_late_subscribers() {
-        let mut network = network();
-        // Both consumers sit at broker 1, behind broker 0's first link.
+        let mut network = SimNetwork::new(
+            BrokerTopology::balanced_tree(5, 2),
+            ForwardingMode::Flooding,
+            CommunityConfig::default(),
+            SynopsisConfig::sets(100),
+        );
+        let doc = XmlTree::parse("<media><CD/></media>").unwrap();
+        // Both consumers sit at broker 1, behind broker 0's first link;
+        // broker 0's second link (towards broker 2) has nobody behind it.
         network.subscribe(0, 1, pattern("//CD"));
         network.subscribe(1, 1, pattern("//composer"));
         let interested = vec![false, true];
-        assert!(network.link_has_interest(0, 0, &interested));
-        // Broker 0's second link (towards broker 2) has nobody behind it.
-        assert!(!network.link_has_interest(0, 1, &interested));
+        let delivered = vec![false, false];
+        let spurious = |network: &SimNetwork| {
+            let outcome = network.route_step(0, None, &doc, &interested, &delivered);
+            assert_eq!(outcome.forwards, vec![(0, 1), (1, 2)]);
+            outcome.counters.spurious_link_messages
+        };
+        assert_eq!(spurious(&network), 1);
         // A departed subscriber no longer attracts forwards...
         network.unsubscribe(1);
-        assert!(!network.link_has_interest(0, 0, &interested));
+        assert_eq!(spurious(&network), 2);
         // ...and slots beyond the frozen interest bitmap count as
         // uninterested (arrivals after publication are not owed the
         // document).
         network.subscribe(2, 1, pattern("//book"));
-        assert!(!network.link_has_interest(0, 0, &interested));
+        assert_eq!(spurious(&network), 2);
+        // Local delivery asks the same oracle: of the three active
+        // consumers at broker 1 (slots 0, 2, 3), only the interested,
+        // undelivered one is delivered.
+        network.subscribe(3, 1, pattern("//CD"));
+        let interested = [false, false, true, true];
+        let delivered = [false, false, false, true];
+        let outcome = network.route_step(1, Some(0), &doc, &interested, &delivered);
+        assert_eq!(outcome.local, vec![2]);
+        assert_eq!(outcome.counters.match_operations, 3);
     }
 
     #[test]

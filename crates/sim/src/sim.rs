@@ -263,9 +263,24 @@ impl Simulation {
             }
         }
 
-        // Close the last window and fill the aggregates.
+        // Close the last window and fill the aggregates. Hop and churn
+        // counters are only kept per window; their totals are the sums.
         self.window.active_consumers = self.network.active_count();
         self.report.windows.push(self.window);
+        let report = &mut self.report;
+        for w in &report.windows {
+            let a = &mut report.aggregate;
+            a.documents += w.publishes;
+            a.subscribes += w.subscribes;
+            a.unsubscribes += w.unsubscribes;
+            a.link_messages += w.link_messages;
+            a.spurious_link_messages += w.spurious_link_messages;
+            a.match_operations += w.match_operations;
+            a.deliveries += w.deliveries;
+            a.missed_deliveries += w.missed_deliveries;
+            a.table_rebuilds += w.rebuilds;
+            a.dropped_hops += w.dropped_hops;
+        }
         self.report.aggregate.horizon = self.clock;
         self.report.aggregate.brokers = self.network.topology().broker_count();
         self.report.aggregate.final_consumers = self.network.active_count();
@@ -288,9 +303,12 @@ impl Simulation {
         }
     }
 
-    fn trace(&mut self, line: String) {
+    /// Record a trace line; `line` only runs when tracing is on.
+    fn trace(&mut self, line: impl FnOnce() -> String) {
         if self.config.record_trace {
-            self.report.trace.push(format!("t={} {line}", self.clock));
+            self.report
+                .trace
+                .push(format!("t={} {}", self.clock, line()));
         }
     }
 
@@ -303,21 +321,19 @@ impl Simulation {
             } => {
                 self.network
                     .subscribe(*subscriber, *broker, pattern.clone());
-                self.report.aggregate.subscribes += 1;
                 self.window.subscribes += 1;
                 self.report.aggregate.peak_consumers = self
                     .report
                     .aggregate
                     .peak_consumers
                     .max(self.network.active_count());
-                self.trace(format!("subscribe {subscriber}@{broker}"));
+                self.trace(|| format!("subscribe {subscriber}@{broker}"));
                 self.after_churn();
             }
             ScenarioAction::Unsubscribe { subscriber } => {
                 if self.network.unsubscribe(*subscriber) {
-                    self.report.aggregate.unsubscribes += 1;
                     self.window.unsubscribes += 1;
-                    self.trace(format!("unsubscribe {subscriber}"));
+                    self.trace(|| format!("unsubscribe {subscriber}"));
                     self.after_churn();
                 }
             }
@@ -332,14 +348,14 @@ impl Simulation {
                 if !self.down[*broker] {
                     self.down[*broker] = true;
                     self.report.aggregate.failures += 1;
-                    self.trace(format!("fail {broker}"));
+                    self.trace(|| format!("fail {broker}"));
                 }
             }
             ScenarioAction::Recover { broker } => {
                 if self.down[*broker] {
                     self.down[*broker] = false;
                     self.report.aggregate.recoveries += 1;
-                    self.trace(format!("recover {broker}"));
+                    self.trace(|| format!("recover {broker}"));
                 }
             }
         }
@@ -360,7 +376,7 @@ impl Simulation {
     /// A periodic tick: rebuild only if something actually went stale.
     fn process_tick(&mut self) {
         let stale = self.network.tables_stale() || self.network.communities_stale();
-        self.trace(format!("tick stale={stale}"));
+        self.trace(|| format!("tick stale={stale}"));
         if stale {
             self.rebuild("periodic");
         }
@@ -369,17 +385,18 @@ impl Simulation {
     fn rebuild(&mut self, reason: &str) {
         let outcome = self.network.rebuild(self.config.threads);
         self.churn_since_rebuild = 0;
-        self.report.aggregate.table_rebuilds += 1;
         self.report.aggregate.rebuild_table_nodes += outcome.table_nodes;
         self.report.aggregate.rebuild_entries_pruned += outcome.compaction.pruned_entries();
         self.window.rebuilds += 1;
-        self.trace(format!(
-            "rebuild[{reason}] tables={} pruned={} communities={} selectivity={:.4}",
-            outcome.table_nodes,
-            outcome.compaction.pruned_entries(),
-            outcome.communities,
-            outcome.mean_selectivity
-        ));
+        self.trace(|| {
+            format!(
+                "rebuild[{reason}] tables={} pruned={} communities={} selectivity={:.4}",
+                outcome.table_nodes,
+                outcome.compaction.pruned_entries(),
+                outcome.communities,
+                outcome.mean_selectivity
+            )
+        });
     }
 
     /// Publish a document: freeze the ground truth, feed the synopsis, and
@@ -399,9 +416,8 @@ impl Simulation {
             delivered: vec![false; self.network.consumers().len()],
             outstanding: 1,
         }));
-        self.report.aggregate.documents += 1;
         self.window.publishes += 1;
-        self.trace(format!("publish doc{handle}"));
+        self.trace(|| format!("publish doc{handle}"));
         self.queue.push(
             self.clock,
             EventKind::Hop {
@@ -413,7 +429,7 @@ impl Simulation {
     }
 
     /// A document arrives at a broker: queue behind the broker's service
-    /// time, deliver locally, and forward per the (possibly stale) tables.
+    /// time, then take one routing step ([`SimNetwork::route_step`]).
     fn process_hop(&mut self, doc: DocHandle, broker: BrokerId, from: Option<BrokerId>) {
         // A failed broker drops the document on the floor: the hop ends
         // here, and whatever interest lives behind this broker becomes
@@ -423,9 +439,8 @@ impl Simulation {
             let state = self.docs[doc].as_mut().expect("hop for finalised document");
             state.outstanding -= 1;
             let outstanding = state.outstanding;
-            self.report.aggregate.dropped_hops += 1;
             self.window.dropped_hops += 1;
-            self.trace(format!("drop doc{doc} at {broker} (down)"));
+            self.trace(|| format!("drop doc{doc} at {broker} (down)"));
             if outstanding == 0 {
                 self.finalise(doc);
             }
@@ -436,77 +451,32 @@ impl Simulation {
         // the requeue keeps scheduling order).
         if self.clock < self.busy_until[broker] {
             let until = self.busy_until[broker];
-            self.trace(format!("requeue doc{doc} at {broker} until {until}"));
+            self.trace(|| format!("requeue doc{doc} at {broker} until {until}"));
             self.queue.push(until, EventKind::Hop { doc, broker, from });
             return;
         }
         self.busy_until[broker] = self.clock + self.config.service_time;
 
-        // Local delivery: exact per-consumer filtering over the *current*
-        // active set, against the interest frozen at publication.
-        let local = self.network.active_consumers_at(broker);
         // invariant: hops are only scheduled for in-flight documents
         let state = self.docs[doc].as_mut().expect("hop for finalised document");
-        let mut delivered_here = 0usize;
-        for consumer in local {
-            self.report.aggregate.match_operations += 1;
-            self.window.match_operations += 1;
-            if state.interested.get(consumer).copied().unwrap_or(false)
-                && !state.delivered.get(consumer).copied().unwrap_or(true)
-            {
-                state.delivered[consumer] = true;
-                self.report.aggregate.deliveries += 1;
-                self.window.deliveries += 1;
-                delivered_here += 1;
-            }
+        let outcome = self.network.route_step(
+            broker,
+            from,
+            &state.document,
+            &state.interested,
+            &state.delivered,
+        );
+        for &consumer in &outcome.local {
+            state.delivered[consumer] = true;
         }
-
-        // Forwarding decision per outgoing link, mirroring the static
-        // network: flooding forwards everywhere (except back), tables are
-        // consulted per link with first-hit cost accounting.
-        let neighbours = self.network.topology().neighbours(broker).to_vec();
-        let mut forwards: Vec<(usize, BrokerId)> = Vec::new();
-        let mut table_cost = 0usize;
-        for (link_index, &neighbour) in neighbours.iter().enumerate() {
-            if Some(neighbour) == from {
-                continue;
-            }
-            match self.network.forwarding() {
-                ForwardingMode::Flooding => forwards.push((link_index, neighbour)),
-                ForwardingMode::Table(_) => {
-                    let (hit, cost) = self.network.tables()[broker]
-                        .link(link_index)
-                        .matches(&state.document);
-                    table_cost += cost;
-                    if hit {
-                        forwards.push((link_index, neighbour));
-                    }
-                }
-            }
-        }
-        self.report.aggregate.match_operations += table_cost;
-        self.window.match_operations += table_cost;
-
-        state.outstanding -= 1;
-        state.outstanding += forwards.len();
+        state.outstanding = state.outstanding - 1 + outcome.forwards.len();
         let outstanding = state.outstanding;
-
-        for &(link_index, neighbour) in &forwards {
-            self.report.aggregate.link_messages += 1;
-            self.window.link_messages += 1;
-            // A forward is spurious when no *active* consumer behind the
-            // link wants the document (frozen interest, current
-            // attachment — a stale table forwarding into a subtree whose
-            // subscribers departed is exactly what this measures).
-            // invariant: hops are only scheduled for in-flight documents
-            let state = self.docs[doc].as_ref().expect("document is in flight");
-            if !self
-                .network
-                .link_has_interest(broker, link_index, &state.interested)
-            {
-                self.report.aggregate.spurious_link_messages += 1;
-                self.window.spurious_link_messages += 1;
-            }
+        let counters = outcome.counters;
+        self.window.match_operations += counters.match_operations;
+        self.window.deliveries += counters.deliveries;
+        self.window.link_messages += counters.link_messages;
+        self.window.spurious_link_messages += counters.spurious_link_messages;
+        for &(_, neighbour) in &outcome.forwards {
             self.queue.push(
                 self.clock + self.config.link_latency,
                 EventKind::Hop {
@@ -516,10 +486,13 @@ impl Simulation {
                 },
             );
         }
-        let forwarded: Vec<BrokerId> = forwards.iter().map(|&(_, n)| n).collect();
-        self.trace(format!(
-            "hop doc{doc} at {broker} from {from:?} delivered={delivered_here} forwards={forwarded:?}"
-        ));
+        self.trace(|| {
+            let forwarded: Vec<BrokerId> = outcome.forwards.iter().map(|&(_, n)| n).collect();
+            format!(
+                "hop doc{doc} at {broker} from {from:?} delivered={} forwards={forwarded:?}",
+                outcome.local.len()
+            )
+        });
         if outstanding == 0 {
             self.finalise(doc);
         }
@@ -535,8 +508,7 @@ impl Simulation {
             .zip(&state.delivered)
             .filter(|(&interested, &delivered)| interested && !delivered)
             .count();
-        self.report.aggregate.missed_deliveries += missed;
         self.window.missed_deliveries += missed;
-        self.trace(format!("done doc{doc} missed={missed}"));
+        self.trace(|| format!("done doc{doc} missed={missed}"));
     }
 }
